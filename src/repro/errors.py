@@ -20,8 +20,9 @@ class XmlError(ReproError):
 class XmlParseError(XmlError):
     """Raised when an XML document is not well-formed.
 
-    Carries the character ``offset`` into the input at which parsing
-    failed, for error reporting.
+    Carries the ``offset`` into the input at which parsing failed, for
+    error reporting: a byte offset into the UTF-8 encoding of the text
+    (equal to the character offset for ASCII input).
     """
 
     def __init__(self, message: str, offset: int = -1):

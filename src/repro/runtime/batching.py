@@ -10,10 +10,12 @@ sets can ride in a single ``RequestMessage``.
 first arrival for a batch key becomes the *leader*: it waits up to
 ``window_s`` for other queries to join (or until ``max_calls`` piles
 up), then performs one merged exchange and hands each participant its
-slice of the bulk response. Every participant re-serialises its slice
-into a private response message — bulk identity within each query's
-slice is preserved (one fragments preamble per message), and no parsed
-fragment documents are shared across threads.
+slice of the bulk response. Every participant gets its slice as a
+private response message, plus that message's text — bulk identity
+within each query's slice is preserved (one fragments preamble per
+message). The leader's parsed response is shared read-only;
+unmarshalling copies each fragment into a fresh per-query document,
+so no node identity is shared across threads.
 
 Mergeable means the batch key matches exactly: destination peer,
 shipped query text, parameter names, call semantics, static-context
@@ -81,15 +83,16 @@ class BulkBatcher:
     def execute(self, key: Hashable, calls: RawCalls,
                 merged_exchange: Callable[[RawCalls],
                                           tuple[ResponseMessage, str]]
-                ) -> str:
+                ) -> tuple[ResponseMessage, str]:
         """Run one round trip, possibly merged with concurrent ones.
 
         ``merged_exchange`` marshals a (possibly larger) raw call list,
         performs the actual wire exchange, and returns the parsed
         response together with its XML text; only the batch leader
-        invokes it. Returns the participant's private response XML —
-        its slice of the bulk results over the shared fragments
-        preamble, or the leader's text verbatim when nobody coalesced.
+        invokes it. Returns the participant's private response and its
+        XML — its slice of the bulk results over the shared fragments
+        preamble, or the leader's response verbatim when nobody
+        coalesced.
         """
         with self._lock:
             self.round_trips += 1
@@ -138,11 +141,12 @@ class BulkBatcher:
         if batch.participants == 1:
             # Nobody coalesced (the common case): the wire response IS
             # this participant's response — skip the split/re-serialise.
+            assert batch.response is not None
             assert batch.response_xml is not None
-            return batch.response_xml
-        response = batch.response
-        assert response is not None
-        return _split_response(response, slot).to_xml()
+            return batch.response, batch.response_xml
+        assert batch.response is not None
+        response = _split_response(batch.response, slot)
+        return response, response.to_xml()
 
     def snapshot(self) -> dict[str, int | float]:
         with self._lock:

@@ -789,12 +789,11 @@ class _Run:
                         RunStats(), request_xml=merged_xml)
                     return exchange.response, exchange.response_xml
 
-                response_xml = self.batcher.execute(key, calls,
-                                                    merged_exchange)
+                parsed, response_xml = self.batcher.execute(
+                    key, calls, merged_exchange)
                 self.transport.charge_message(stats, request_bytes)
                 response_bytes = len(response_xml.encode())
                 self.transport.charge_message(stats, response_bytes)
-                parsed = ResponseMessage.from_xml(response_xml)
             else:
                 exchange = self.transport.exchange(peer, request,
                                                    make_handler().handle,

@@ -3,9 +3,9 @@
 This package implements the XML data model layer the paper's host
 system (MonetDB/XQuery) provides natively: documents stored as arrays
 in document order with O(1) node identity, document-order comparison
-and ancestry tests, the 13 XPath axes, a small well-formedness parser,
-a serialiser, XQuery ``deep-equal``, and the paper's runtime XML
-projection (Algorithm 1).
+and ancestry tests, the 13 XPath axes, a parser driving the builder
+from stdlib ``expat`` events (C, no dependency), a serialiser, XQuery
+``deep-equal``, and the paper's runtime XML projection (Algorithm 1).
 
 Public entry points:
 
@@ -13,7 +13,10 @@ Public entry points:
   document (or parentless fragment).
 * :class:`~repro.xmldb.node.Node` — a lightweight node handle.
 * :func:`~repro.xmldb.parser.parse_document` /
-  :func:`~repro.xmldb.parser.parse_fragment` — text to store.
+  :func:`~repro.xmldb.parser.parse_fragment` — text to store. An XRPC
+  message is parsed once; its fragments are copied out of the parsed
+  envelope with :func:`~repro.xmldb.document.build_fragment_from_nodes`
+  (single-shred receive), never serialised and parsed again.
 * :func:`~repro.xmldb.serializer.serialize` — store to text.
 * :mod:`~repro.xmldb.axes` — axis navigation.
 * :func:`~repro.xmldb.compare.deep_equal` — XQuery fn:deep-equal.

@@ -27,14 +27,19 @@ from repro.xmldb.node import Node, NodeKind
 
 
 def escape_text(value: str) -> str:
-    """Escape character data content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data content. ``\\r`` is written as a character
+    reference: a conformant reader turns a raw one into ``\\n``."""
+    return (value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace("\r", "&#13;"))
 
 
 def escape_attribute(value: str) -> str:
-    """Escape an attribute value (double-quote delimited)."""
+    """Escape an attribute value (double-quote delimited). Tab, newline
+    and carriage return are written as character references, which
+    survive the attribute-value normalization of a conformant reader."""
     return (value.replace("&", "&amp;").replace("<", "&lt;")
-            .replace('"', "&quot;"))
+            .replace('"', "&quot;").replace("\n", "&#10;")
+            .replace("\t", "&#9;").replace("\r", "&#13;"))
 
 
 class SerializedTree:
@@ -107,7 +112,7 @@ def serialize_node(node: Node) -> str:
             cache.memo.move_to_end(pre)
             return cached
     out: list[str] = []
-    _serialize_into(node, out)
+    _serialize_into(doc, pre, out)
     text = "".join(out)
     with cache.memo_lock:
         cache.memo[pre] = text
@@ -147,118 +152,102 @@ def subtree_spans(doc: Document) -> tuple[list[int], list[int]] | None:
 
 
 # ---------------------------------------------------------------------------
-# Full serialisation with span recording
+# The document-order walk
 # ---------------------------------------------------------------------------
 
 
 def _build_full(doc: Document, cache: SerializedTree) -> None:
-    kinds = doc.kinds
-    names = doc.names
-    values = doc.values
-    count = len(kinds)
+    starts = [0] * doc.count
+    ends = [0] * doc.count
     parts: list[str] = []
-    starts = [0] * count
-    ends = [0] * count
-    length = 0
-
-    def emit(text: str) -> None:
-        nonlocal length
-        parts.append(text)
-        length += len(text)
-
-    def walk(pre: int) -> None:
-        kind = kinds[pre]
-        starts[pre] = length
-        if kind == NodeKind.DOCUMENT:
-            for child_pre in _child_pres(doc, pre):
-                walk(child_pre)
-        elif kind == NodeKind.TEXT:
-            emit(escape_text(values[pre]))
-        elif kind == NodeKind.ATTRIBUTE:
-            # Standalone span: the escaped value only (no quotes), so
-            # a slice equals serialize_node on the attribute.
-            emit(escape_attribute(values[pre]))
-        elif kind == NodeKind.COMMENT:
-            emit(f"<!--{values[pre]}-->")
-        elif kind == NodeKind.PROCESSING_INSTRUCTION:
-            emit(f"<?{names[pre]} {values[pre]}?>")
-        else:  # element
-            name = names[pre]
-            emit(f"<{name}")
-            content_pres: list[int] = []
-            for child_pre in _child_pres(doc, pre, include_attributes=True):
-                if kinds[child_pre] == NodeKind.ATTRIBUTE:
-                    emit(f" {names[child_pre]}=\"")
-                    starts[child_pre] = length
-                    emit(escape_attribute(values[child_pre]))
-                    ends[child_pre] = length
-                    emit('"')
-                else:
-                    content_pres.append(child_pre)
-            if not content_pres:
-                emit("/>")
-            else:
-                emit(">")
-                for child_pre in content_pres:
-                    walk(child_pre)
-                emit(f"</{name}>")
-        if kind != NodeKind.ATTRIBUTE:
-            ends[pre] = length
-
-    walk(0)
+    _serialize_into(doc, 0, parts, starts, ends)
     cache.full = "".join(parts)
     cache.starts = starts
     cache.ends = ends
 
 
-# ---------------------------------------------------------------------------
-# Subtree walk (no full text available)
-# ---------------------------------------------------------------------------
+def _serialize_into(doc: Document, root: int, parts: list[str],
+                    starts: list[int] | None = None,
+                    ends: list[int] | None = None) -> None:
+    """Append the text of ``root``'s subtree to ``parts``.
 
-
-def _serialize_into(node: Node, out: list[str]) -> None:
-    doc = node.doc
-    kind = node.kind
-    if kind == NodeKind.DOCUMENT:
-        for child_pre in _child_pres(doc, node.pre):
-            _serialize_into(Node(doc, child_pre), out)
+    One scan over the subtree's pre ranks with an explicit stack of
+    open elements, so nesting depth is bounded by memory, not by the
+    interpreter's recursion limit. With ``starts``/``ends`` given, also
+    record every node's character span; an attribute's span covers
+    its escaped value between the quotes, so a slice equals
+    ``serialize_node`` on the attribute.
+    """
+    kinds = doc.kinds
+    names = doc.names
+    values = doc.values
+    sizes = doc.sizes
+    if kinds[root] == NodeKind.ATTRIBUTE:
+        parts.append(escape_attribute(values[root]))
         return
-    if kind == NodeKind.TEXT:
-        out.append(escape_text(node.value))
-        return
-    if kind == NodeKind.ATTRIBUTE:
-        out.append(escape_attribute(node.value))
-        return
-    if kind == NodeKind.COMMENT:
-        out.append(f"<!--{node.value}-->")
-        return
-    if kind == NodeKind.PROCESSING_INSTRUCTION:
-        out.append(f"<?{node.name} {node.value}?>")
-        return
-    # Element.
-    out.append(f"<{node.name}")
-    content_pres: list[int] = []
-    for child_pre in _child_pres(doc, node.pre, include_attributes=True):
-        if doc.kinds[child_pre] == NodeKind.ATTRIBUTE:
-            out.append(
-                f' {doc.names[child_pre]}="'
-                f'{escape_attribute(doc.values[child_pre])}"')
-        else:
-            content_pres.append(child_pre)
-    if not content_pres:
-        out.append("/>")
-        return
-    out.append(">")
-    for child_pre in content_pres:
-        _serialize_into(Node(doc, child_pre), out)
-    out.append(f"</{node.name}>")
-
-
-def _child_pres(doc: Document, pre: int, include_attributes: bool = False):
-    """Yield pre ranks of the direct children of ``pre`` in order."""
-    end = pre + doc.sizes[pre]
-    cursor = pre + 1
-    while cursor <= end:
-        if include_attributes or doc.kinds[cursor] != NodeKind.ATTRIBUTE:
-            yield cursor
-        cursor += doc.sizes[cursor] + 1
+    record = starts is not None and ends is not None
+    append = parts.append
+    length = 0
+    # (pre, last pre of its subtree, end tag) of every open element.
+    open_nodes: list[tuple[int, int, str]] = []
+    pre = root
+    stop = root + sizes[root]
+    while True:
+        while open_nodes and open_nodes[-1][1] < pre:
+            owner, _last, tag = open_nodes.pop()
+            append(tag)
+            length += len(tag)
+            if record:
+                ends[owner] = length
+        if pre > stop:
+            return
+        if record:
+            starts[pre] = length
+        kind = kinds[pre]
+        if kind == NodeKind.ELEMENT:
+            element = pre
+            name = names[pre]
+            last = pre + sizes[pre]
+            text = "<" + name
+            append(text)
+            length += len(text)
+            pre += 1
+            while pre <= last and kinds[pre] == NodeKind.ATTRIBUTE:
+                text = f' {names[pre]}="'
+                append(text)
+                length += len(text)
+                if record:
+                    starts[pre] = length
+                text = escape_attribute(values[pre])
+                append(text)
+                length += len(text)
+                if record:
+                    ends[pre] = length
+                append('"')
+                length += 1
+                pre += 1
+            if pre > last:
+                append("/>")
+                length += 2
+                if record:
+                    ends[element] = length
+            else:
+                append(">")
+                length += 1
+                open_nodes.append((element, last, f"</{name}>"))
+            continue
+        if kind == NodeKind.DOCUMENT:
+            open_nodes.append((pre, stop, ""))
+            pre += 1
+            continue
+        if kind == NodeKind.TEXT:
+            text = escape_text(values[pre])
+        elif kind == NodeKind.COMMENT:
+            text = f"<!--{values[pre]}-->"
+        else:  # processing instruction
+            text = f"<?{names[pre]} {values[pre]}?>"
+        append(text)
+        length += len(text)
+        if record:
+            ends[pre] = length
+        pre += 1

@@ -1,9 +1,11 @@
 """The XRPC runtime: SOAP-style messages and the three marshalling
 semantics (pass-by-value, pass-by-fragment, pass-by-projection).
 
-Messages are genuinely serialised to XML text and re-parsed on the
-receiving peer with the :mod:`repro.xmldb` parser — message sizes (the
-paper's bandwidth metric) are the byte lengths of these texts, and the
+Messages are genuinely serialised to XML text and parsed on the
+receiving peer with the :mod:`repro.xmldb` parser, once per message:
+fragments and element copies are copied out of that one parsed
+envelope, not serialised and parsed again. Message sizes (the paper's
+bandwidth metric) are the byte lengths of these texts, and the
 (de)serialisation component of the Figure 8 breakdown is charged per
 byte processed.
 """

@@ -5,7 +5,7 @@
   lost, exactly as Section II's Problems 1-4 describe.
 * **pass-by-fragment** — all node items are grouped into a fragments
   preamble: per source document the *maximal* nodes (those not
-  contained in another shipped node) are serialised once, in document
+  contained in another shipped node) are shipped once, in document
   order, and every item becomes a ``fragid``/``nodeid`` reference
   (Figure 4). Shredding a fragment once per message on the receiving
   side preserves identity, order, and ancestor/descendant
@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from repro.errors import XrpcMarshalError
 from repro.paths.analysis import PathSets
 from repro.paths.relpath import RelPath, parse_rel_path
-from repro.xmldb.document import Document, DocumentBuilder
+from repro.xmldb.document import (
+    Document, DocumentBuilder, build_fragment_from_nodes,
+)
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.parser import parse_fragment
 from repro.xmldb.projection import project
-from repro.xmldb.serializer import serialize_node
 from repro.xquery.xdm import UntypedAtomic, format_double
 
 from repro.xrpc.messages import Atomic, AttrRef, Call, Item, NodeCopy, NodeRef
@@ -76,7 +76,7 @@ class MarshalResult:
     """Items per call/param plus the shared fragments preamble."""
 
     calls: list[Call]
-    fragments: list[str] = field(default_factory=list)
+    fragments: list[Node] = field(default_factory=list)
 
 
 def marshal_calls(calls: list[list[tuple[str, list]]], semantics: str,
@@ -130,14 +130,14 @@ def _by_value_item(item) -> Item:
     if kind == NodeKind.TEXT:
         return NodeCopy("text", "", item.value)
     if kind == NodeKind.DOCUMENT:
-        # Serialising a document node ships its root element.
+        # Copying a document node ships its root element.
         from repro.xmldb import axes as axes_mod
 
         for child in axes_mod.child(item):
             if child.kind == NodeKind.ELEMENT:
-                return NodeCopy("element", "", serialize_node(child))
+                return NodeCopy("element", "", child)
         raise XrpcMarshalError("document node without root element")
-    return NodeCopy("element", "", serialize_node(item))
+    return NodeCopy("element", "", item)
 
 
 @dataclass
@@ -146,7 +146,7 @@ class _FragmentPlan:
 
     fragid: int
     root_pre: int                       # in the (possibly projected) doc
-    doc: Document                       # the doc the serialised text is from
+    doc: Document                       # the doc the fragment root is in
     pre_map: dict[int, int] | None      # source pre -> projected pre
 
     def nodeid(self, source_pre: int) -> int:
@@ -189,22 +189,22 @@ def _marshal_with_fragments(calls: list[list[tuple[str, list]]],
 
     # 3. Build one fragment per source document.
     plans: dict[int, _FragmentPlan] = {}
-    fragments: list[str] = []
+    fragments: list[Node] = []
     ordered_docs = sorted(docs.values(), key=lambda d: d.doc_seq)
     for doc in ordered_docs:
         doc_key = id(doc)
         nodes = by_doc[doc_key]
         if semantics == "by-projection":
-            plan, text = _projected_fragment(
+            plan, fragment = _projected_fragment(
                 doc, nodes,
                 used_by_doc.get(doc_key, []),
                 returned_by_doc.get(doc_key, []),
                 len(fragments) + 1)
         else:
-            plan, text = _containment_fragment(doc, nodes,
-                                               len(fragments) + 1)
+            plan, fragment = _containment_fragment(doc, nodes,
+                                                   len(fragments) + 1)
         plans[doc_key] = plan
-        fragments.append(text)
+        fragments.append(fragment)
 
     # 4. Emit items as references into the fragments.
     out_calls: list[Call] = []
@@ -268,8 +268,8 @@ def _non_downward_prefixes(path: RelPath) -> list[RelPath]:
 
 
 def _containment_fragment(doc: Document, nodes: list[Node],
-                          fragid: int) -> tuple[_FragmentPlan, str]:
-    """Pass-by-fragment: serialise the maximal shipped nodes once, in
+                          fragid: int) -> tuple[_FragmentPlan, Node]:
+    """Pass-by-fragment: ship the maximal shipped nodes once, in
     document order ("if a sent node is a descendant of another one, it
     is not serialized twice")."""
     element_pres = sorted({_anchor_pre(node) for node in nodes})
@@ -282,7 +282,7 @@ def _containment_fragment(doc: Document, nodes: list[Node],
     if len(roots) == 1 and doc.kinds[roots[0]] == NodeKind.ELEMENT:
         root_pre = roots[0]
         plan = _FragmentPlan(fragid, root_pre, doc, None)
-        return plan, serialize_node(Node(doc, root_pre))
+        return plan, Node(doc, root_pre)
     # Several disjoint maximal nodes: ship their subtrees under one
     # synthetic container so nodeid addressing stays single-rooted.
     # Their relative document order is preserved.
@@ -300,12 +300,12 @@ def _containment_fragment(doc: Document, nodes: list[Node],
             pre_map[pre + offset] = cursor + offset
         cursor += span
     plan = _FragmentPlan(fragid, 0, forest, pre_map)
-    return plan, serialize_node(forest.root)
+    return plan, forest.root
 
 
 def _projected_fragment(doc: Document, nodes: list[Node],
                         used: list[Node], returned: list[Node],
-                        fragid: int) -> tuple[_FragmentPlan, str]:
+                        fragid: int) -> tuple[_FragmentPlan, Node]:
     """Pass-by-projection: Algorithm 1 over the used/returned sets."""
     anchor_used = [Node(doc, _anchor_pre(n)) for n in nodes] + used
     result = project(anchor_used, returned)
@@ -316,7 +316,7 @@ def _projected_fragment(doc: Document, nodes: list[Node],
         # fragments must be element-rooted, fall back to containment.
         return _containment_fragment(doc, nodes + used + returned, fragid)
     plan = _FragmentPlan(fragid, 0, result.doc, result.pre_map)
-    return plan, serialize_node(result.doc.root)
+    return plan, result.doc.root
 
 
 def _anchor_pre(node: Node) -> int:
@@ -346,18 +346,23 @@ def _reference_item(node: Node, plan: _FragmentPlan) -> Item:
 
 
 class _FragmentSpace:
-    """The shredded fragments of one message: each fragment becomes one
-    fresh document, shared by every reference into it — which is what
-    preserves node identity and order within the message."""
+    """The shredded fragments of one message: each fragment is copied
+    into one fresh document, shared by every reference into it — which
+    is what preserves node identity and order within the message."""
 
-    def __init__(self, fragments: list[str], base_uri: str):
+    def __init__(self, fragments: list[Node], base_uri: str):
         self.docs: list[Document] = [
-            parse_fragment(text, uri=f"{base_uri}#fragment{i + 1}")
-            for i, text in enumerate(fragments)
+            build_fragment_from_nodes(f"{base_uri}#fragment{i + 1}",
+                                      [fragment])
+            for i, fragment in enumerate(fragments)
         ]
         self._nodeid_maps: list[list[int] | None] = [None] * len(self.docs)
 
     def resolve(self, fragid: int, nodeid: int) -> Node:
+        if not 1 <= fragid <= len(self.docs):
+            raise XrpcMarshalError(f"fragid {fragid} out of range: the "
+                                   f"message has {len(self.docs)} "
+                                   "fragments")
         doc = self.docs[fragid - 1]
         mapping = self._nodeid_maps[fragid - 1]
         if mapping is None:
@@ -365,11 +370,10 @@ class _FragmentSpace:
             # nodeid → pre mapping (nodeids are 1-based ranks).
             mapping = structural_index(doc).non_attr_pres
             self._nodeid_maps[fragid - 1] = mapping
-        try:
-            pre = mapping[nodeid - 1]
-        except IndexError:
+        if not 1 <= nodeid <= len(mapping):
             raise XrpcMarshalError(
-                f"nodeid {nodeid} out of range in fragment {fragid}") from None
+                f"nodeid {nodeid} out of range in fragment {fragid}")
+        pre = mapping[nodeid - 1]
         node = Node(doc, pre)
         # Unwrap the synthetic forest container.
         if pre == 0 and doc.names[0] == "xrpc:forest":
@@ -387,7 +391,7 @@ class _FragmentSpace:
                                f"fragment {fragid} node {nodeid}")
 
 
-def unmarshal_calls(calls: list[Call], fragments: list[str],
+def unmarshal_calls(calls: list[Call], fragments: list[Node],
                     base_uri: str) -> list[list[tuple[str, list]]]:
     """Reconstruct parameter sequences on the receiving peer."""
     space = _FragmentSpace(fragments, base_uri)
@@ -398,7 +402,7 @@ def unmarshal_calls(calls: list[Call], fragments: list[str],
     ]
 
 
-def unmarshal_result(results: list[list[Item]], fragments: list[str],
+def unmarshal_result(results: list[list[Item]], fragments: list[Node],
                      base_uri: str) -> list[list]:
     space = _FragmentSpace(fragments, base_uri)
     return [_unmarshal_sequence(items, space, base_uri)
@@ -426,11 +430,11 @@ def _unmarshal_sequence(items: list[Item], space: _FragmentSpace,
 def _shred_copy(item: NodeCopy, base_uri: str) -> Node:
     """Pass-by-value: each copy becomes its own fragment document."""
     if item.node_kind == "element":
-        return parse_fragment(item.xml, uri=base_uri).root
+        return build_fragment_from_nodes(base_uri, [item.value]).root
     if item.node_kind == "attribute":
         doc = Document(base_uri, [NodeKind.ATTRIBUTE], [item.name],
-                       [item.xml], [0], [0], [-1])
+                       [item.value], [0], [0], [-1])
         return doc.root
-    doc = Document(base_uri, [NodeKind.TEXT], [""], [item.xml],
+    doc = Document(base_uri, [NodeKind.TEXT], [""], [item.value],
                    [0], [0], [-1])
     return doc.root

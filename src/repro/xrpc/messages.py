@@ -18,6 +18,11 @@ The shipped function body travels as query text in ``xrpc:query`` —
 XRPC is "a pure XQuery rewriter (not making any assumptions on the
 system internals of the participating peers)", so shipping source text
 is precisely the interoperability story of the paper.
+
+Fragments and element copies are held as subtree root nodes, never as
+text: on the sender they are the marshalled nodes, serialised once
+by ``to_xml``; on the receiver they are the subtrees inside the one
+envelope ``from_xml`` parsed, which unmarshalling copies out.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.xmldb import axes as axes_mod
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document
-from repro.xmldb.serializer import escape_attribute, escape_text
+from repro.xmldb.serializer import escape_attribute, escape_text, serialize_node
 
 
 @dataclass(frozen=True)
@@ -42,16 +47,16 @@ class Atomic:
 
 @dataclass(frozen=True)
 class NodeCopy:
-    """A pass-by-value node copy: serialised subtree text.
+    """A pass-by-value node copy.
 
     ``node_kind`` distinguishes elements from attribute/text copies
     (standalone attributes have no XML syntax; XRPC wraps them, per
     footnote 2 of the paper).
     """
 
-    node_kind: str  # "element" | "attribute" | "text"
-    name: str       # attribute name (empty otherwise)
-    xml: str        # serialised content
+    node_kind: str       # "element" | "attribute" | "text"
+    name: str            # attribute name (empty otherwise)
+    value: Node | str    # element: the subtree root; otherwise the value
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class RequestMessage:
     query: str                       # shipped function body (XQuery text)
     param_names: list[str]
     calls: list[Call]
-    fragments: list[str] = field(default_factory=list)
+    fragments: list[Node] = field(default_factory=list)
     static_attrs: dict[str, str] = field(default_factory=dict)
     #: Response projection paths (Urel/Rrel(vxrpc)); presence selects
     #: the pass-by-projection response format.
@@ -170,7 +175,7 @@ class ResponseMessage:
     """An XRPC response: one result sequence per request call."""
 
     results: list[list[Item]]
-    fragments: list[str] = field(default_factory=list)
+    fragments: list[Node] = field(default_factory=list)
 
     def to_xml(self) -> str:
         out = [_ENVELOPE_OPEN, "<xrpc:response>"]
@@ -210,19 +215,17 @@ _ENVELOPE_OPEN = ('<env:Envelope xmlns:env='
 _ENVELOPE_CLOSE = "</env:Body></env:Envelope>"
 
 
-def _fragments_to_xml(fragments: list[str], out: list[str]) -> None:
+def _fragments_to_xml(fragments: list[Node], out: list[str]) -> None:
     if not fragments:
         out.append("<xrpc:fragments/>")
         return
     out.append("<xrpc:fragments>")
-    out.extend(f"<xrpc:fragment>{fragment}</xrpc:fragment>"
+    out.extend(f"<xrpc:fragment>{serialize_node(fragment)}</xrpc:fragment>"
                for fragment in fragments)
     out.append("</xrpc:fragments>")
 
 
-def _fragments_from_xml(request: Node) -> list[str]:
-    from repro.xmldb.serializer import serialize_node
-
+def _fragments_from_xml(request: Node) -> list[Node]:
     fragments_elem = _find_child(request, "xrpc:fragments")
     out = []
     for fragment in axes_mod.axis_step(fragments_elem, "child",
@@ -230,7 +233,7 @@ def _fragments_from_xml(request: Node) -> list[str]:
         children = list(axes_mod.child(fragment))
         if len(children) != 1 or children[0].kind != NodeKind.ELEMENT:
             raise XrpcMarshalError("a fragment must hold one element")
-        out.append(serialize_node(children[0]))
+        out.append(children[0])
     return out
 
 
@@ -242,13 +245,14 @@ def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
                        f"{escape_text(item.lexical)}</xrpc:atomic>")
         elif isinstance(item, NodeCopy):
             if item.node_kind == "element":
-                out.append(f"<xrpc:element>{item.xml}</xrpc:element>")
+                out.append(f"<xrpc:element>{serialize_node(item.value)}"
+                           "</xrpc:element>")
             elif item.node_kind == "attribute":
                 out.append(f'<xrpc:attribute name='
                            f'"{escape_attribute(item.name)}">'
-                           f"{escape_text(item.xml)}</xrpc:attribute>")
+                           f"{escape_text(item.value)}</xrpc:attribute>")
             else:
-                out.append(f"<xrpc:text>{escape_text(item.xml)}"
+                out.append(f"<xrpc:text>{escape_text(item.value)}"
                            f"</xrpc:text>")
         elif isinstance(item, NodeRef):
             out.append(f'<xrpc:element fragid="{item.fragid}" '
@@ -273,22 +277,17 @@ def _sequence_from_xml(seq_elem: Node) -> list[Item]:
                                 child.string_value()))
         elif child.name == "xrpc:element":
             if "fragid" in attrs:
-                items.append(NodeRef(int(attrs["fragid"]),
-                                     int(attrs["nodeid"])))
+                items.append(NodeRef(*_reference(attrs)))
             else:
-                from repro.xmldb.serializer import serialize_node
-
-                inner = [c for c in axes_mod.child(child)]
+                inner = list(axes_mod.child(child))
                 if len(inner) == 1 and inner[0].kind == NodeKind.ELEMENT:
-                    items.append(NodeCopy("element", "",
-                                          serialize_node(inner[0])))
+                    items.append(NodeCopy("element", "", inner[0]))
                 else:
                     raise XrpcMarshalError(
                         "element copy must hold one element")
         elif child.name == "xrpc:attribute":
             if "fragid" in attrs:
-                items.append(AttrRef(int(attrs["fragid"]),
-                                     int(attrs["nodeid"]),
+                items.append(AttrRef(*_reference(attrs),
                                      attrs.get("name", "")))
             else:
                 items.append(NodeCopy("attribute", attrs.get("name", ""),
@@ -298,6 +297,14 @@ def _sequence_from_xml(seq_elem: Node) -> list[Item]:
         else:
             raise XrpcMarshalError(f"unknown sequence item <{child.name}>")
     return items
+
+
+def _reference(attrs: dict[str, str]) -> tuple[int, int]:
+    try:
+        return int(attrs["fragid"]), int(attrs["nodeid"])
+    except (KeyError, ValueError):
+        raise XrpcMarshalError(
+            f"malformed fragment reference {attrs!r}") from None
 
 
 def _body(doc: Document) -> Node:

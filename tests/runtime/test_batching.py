@@ -5,7 +5,17 @@ import threading
 import pytest
 
 from repro.runtime.batching import BulkBatcher, _split_response, batch_key
+from repro.xmldb.parser import parse_fragment
+from repro.xmldb.serializer import serialize_node
 from repro.xrpc.messages import Atomic, NodeRef, ResponseMessage
+
+
+def fragment(text):
+    return parse_fragment(text).root
+
+
+def texts(fragments):
+    return [serialize_node(f) for f in fragments]
 
 
 def atomic_response(values):
@@ -62,8 +72,8 @@ class TestCoalescing:
 
         def participant(value):
             barrier.wait()
-            responses[value] = batcher.execute(key, call_with(value),
-                                               exchange)
+            _, responses[value] = batcher.execute(key, call_with(value),
+                                                  exchange)
 
         threads = [threading.Thread(target=participant, args=(v,))
                    for v in (7, 11)]
@@ -102,7 +112,7 @@ class TestCoalescing:
     def test_zero_window_means_no_waiting(self):
         batcher = BulkBatcher(window_s=0.0)
         sizes = []
-        xml = batcher.execute(
+        _, xml = batcher.execute(
             batch_key("B", "$x", ["x"], "by-value", {}, None, None),
             call_with(3), echoing_exchange(sizes))
         assert sizes == [1]
@@ -131,7 +141,8 @@ class TestCoalescing:
         def participant(values):
             calls = [[("x", [v])] for v in values]
             barrier.wait()
-            responses[tuple(values)] = batcher.execute(key, calls, exchange)
+            _, responses[tuple(values)] = batcher.execute(key, calls,
+                                                          exchange)
 
         threads = [threading.Thread(target=participant, args=(vs,))
                    for vs in ([1, 2], [3])]
@@ -150,27 +161,27 @@ class TestSplitResponse:
     def test_foreign_fragments_dropped_and_fragids_renumbered(self):
         merged = ResponseMessage(
             results=[[NodeRef(1, 1)], [NodeRef(2, 1)]],
-            fragments=["<a/>", "<b/>"])
+            fragments=[fragment("<a/>"), fragment("<b/>")])
         first = _split_response(merged, (0, 1))
         second = _split_response(merged, (1, 2))
-        assert first.fragments == ["<a/>"]
+        assert texts(first.fragments) == ["<a/>"]
         assert first.results == [[NodeRef(1, 1)]]
-        assert second.fragments == ["<b/>"]
+        assert texts(second.fragments) == ["<b/>"]
         assert second.results == [[NodeRef(1, 1)]]  # remapped 2 -> 1
 
     def test_shared_fragment_kept_for_both(self):
         merged = ResponseMessage(
             results=[[NodeRef(1, 1)], [NodeRef(1, 2)]],
-            fragments=["<a><b/></a>"])
+            fragments=[fragment("<a><b/></a>")])
         for slot, nodeid in (((0, 1), 1), ((1, 2), 2)):
             split = _split_response(merged, slot)
-            assert split.fragments == ["<a><b/></a>"]
+            assert texts(split.fragments) == ["<a><b/></a>"]
             assert split.results == [[NodeRef(1, nodeid)]]
 
     def test_atomic_only_slice_carries_no_fragments(self):
         merged = ResponseMessage(
             results=[[Atomic("xs:integer", "1")], [NodeRef(1, 1)]],
-            fragments=["<a/>"])
+            fragments=[fragment("<a/>")])
         split = _split_response(merged, (0, 1))
         assert split.fragments == []
         assert split.results == [[Atomic("xs:integer", "1")]]
@@ -179,7 +190,7 @@ class TestSplitResponse:
         batcher = BulkBatcher(window_s=60.0, worth_waiting=lambda: False)
         sizes = []
         # A 60s window would hang the test if the predicate were ignored.
-        xml = batcher.execute(
+        _, xml = batcher.execute(
             batch_key("B", "$x", ["x"], "by-value", {}, None, None),
             call_with(5), echoing_exchange(sizes))
         assert ResponseMessage.from_xml(xml).results == \
@@ -219,6 +230,6 @@ class TestErrors:
                             lambda _m: (_ for _ in ()).throw(
                                 ValueError("boom")))
         sizes = []
-        xml = batcher.execute(key, call_with(2), echoing_exchange(sizes))
+        _, xml = batcher.execute(key, call_with(2), echoing_exchange(sizes))
         assert ResponseMessage.from_xml(xml).results == \
             [[Atomic("xs:integer", "2")]]

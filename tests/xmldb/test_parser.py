@@ -87,6 +87,9 @@ class TestErrors:
         "",                         # empty input
         "just text",                # no element
         "<a><!--never closed</a>",  # unterminated comment
+        '<a x="1<2"/>',             # '<' in an attribute value
+        "<a>]]></a>",               # ']]>' in character data
+        '<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>',  # entity declaration
     ])
     def test_rejected(self, bad):
         with pytest.raises(XmlParseError):
@@ -96,6 +99,17 @@ class TestErrors:
         with pytest.raises(XmlParseError) as info:
             parse_document("<a><b></c></a>")
         assert info.value.offset > 0
+
+
+class TestDepth:
+    def test_deep_chain_round_trips(self):
+        depth = 10_000
+        xml = "<a>" * depth + "x" + "</a>" * depth
+        doc = parse_document(xml)
+        assert doc.levels[len(doc) - 1] == depth + 1  # text, under doc node
+        text = serialize(doc)
+        assert text == xml
+        assert serialize(parse_document(text)) == xml
 
 
 class TestFragment:

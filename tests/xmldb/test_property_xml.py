@@ -22,7 +22,7 @@ from repro.xmldb.serializer import serialize_node
 _names = st.sampled_from(["a", "b", "c", "data", "x1", "n-s.t"])
 _texts = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"),
-                           whitelist_characters=" <>&\"'"),
+                           whitelist_characters=" <>&\"'\n\t\r"),
     min_size=1, max_size=12)
 
 

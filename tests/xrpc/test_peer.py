@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import XrpcMarshalError, XQueryDynamicError
-from repro.xmldb.parser import parse_document
+from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
-from repro.xrpc.messages import Call, RequestMessage
+from repro.xrpc.messages import Call, NodeRef, RequestMessage
 from repro.xrpc.peer import RequestHandler
 
 
@@ -96,24 +96,26 @@ class TestFailureInjection:
             RequestMessage.from_xml("<env:Envelope>not closed")
 
     def test_dangling_fragment_reference(self):
-        from repro.xrpc.messages import NodeRef
-
         request = make_request(
             "$p", params=["p"],
             calls=[Call([("p", [NodeRef(1, 99)])])],
-            fragments=["<a/>"])
+            fragments=[parse_fragment("<a/>").root])
         with pytest.raises(XrpcMarshalError):
             handler().handle(request)
 
-    def test_reference_to_missing_fragment(self):
-        from repro.xrpc.messages import NodeRef
-
+    @pytest.mark.parametrize("ref", [
+        NodeRef(3, 1),    # fragid past the end
+        NodeRef(1, 0),    # nodeid below 1 (not the last node)
+        NodeRef(0, 1),    # fragid below 1 (not the last fragment)
+        NodeRef("x", 1),  # fragid="x" on the wire
+    ])
+    def test_reference_to_missing_fragment(self, ref):
         request = make_request(
             "$p", params=["p"],
-            calls=[Call([("p", [NodeRef(3, 1)])])],
-            fragments=["<a/>"])
-        with pytest.raises((XrpcMarshalError, IndexError)):
-            handler().handle(request)
+            calls=[Call([("p", [ref])])],
+            fragments=[parse_fragment("<a/>").root])
+        with pytest.raises(XrpcMarshalError):
+            handler().handle(RequestMessage.from_xml(request.to_xml()))
 
     def test_missing_attribute_reference(self):
         from repro.xrpc.messages import AttrRef
@@ -121,6 +123,6 @@ class TestFailureInjection:
         request = make_request(
             "$p", params=["p"],
             calls=[Call([("p", [AttrRef(1, 1, "nope")])])],
-            fragments=["<a/>"])
+            fragments=[parse_fragment("<a/>").root])
         with pytest.raises(XrpcMarshalError):
             handler().handle(request)
