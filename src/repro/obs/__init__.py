@@ -24,7 +24,10 @@ Figure 10   projection precision — the ``used_paths`` / ``returned``
 Figure 11   projection/serialisation overhead — the ``serialize``
             component leaves under each ``rpc`` / ``ship`` span, plus
             the ``index_build_seconds_total`` counters for the
-            structural/value index work that replaced re-shredding.
+            lazy structural/value index work that replaced
+            re-shredding. A parsed document's structural index is
+            built inside its parse, so that cost is parse wall time,
+            not counted here nor in query evaluation.
 ==========  ==============================================================
 
 The paper's figures are steady-state aggregates; the *continuous*

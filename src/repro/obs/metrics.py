@@ -69,7 +69,8 @@ class _Series:
 
 class Counter(_Series):
     """A monotonically increasing count (float increments allowed —
-    ``index_build_seconds_total`` accumulates seconds)."""
+    ``index_build_seconds_total`` accumulates the seconds of lazy
+    index builds)."""
 
     __slots__ = ("_value",)
 

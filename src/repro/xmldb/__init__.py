@@ -3,9 +3,10 @@
 This package implements the XML data model layer the paper's host
 system (MonetDB/XQuery) provides natively: documents stored as arrays
 in document order with O(1) node identity, document-order comparison
-and ancestry tests, the 13 XPath axes, a parser driving the builder
-from stdlib ``expat`` events (C, no dependency), a serialiser, XQuery
-``deep-equal``, and the paper's runtime XML projection (Algorithm 1).
+and ancestry tests, the 13 XPath axes, a parser that shreds and
+indexes in one pass over stdlib ``expat`` events (C, no dependency), a
+serialiser, XQuery ``deep-equal``, and the paper's runtime XML
+projection (Algorithm 1).
 
 Public entry points:
 
@@ -13,7 +14,9 @@ Public entry points:
   document (or parentless fragment).
 * :class:`~repro.xmldb.node.Node` — a lightweight node handle.
 * :func:`~repro.xmldb.parser.parse_document` /
-  :func:`~repro.xmldb.parser.parse_fragment` — text to store. An XRPC
+  :func:`~repro.xmldb.parser.parse_fragment` — text to store, with
+  the :class:`~repro.xmldb.index.StructuralIndex` filled in the same
+  pass (other documents build it lazily on first use). An XRPC
   message is parsed once; its fragments are copied out of the parsed
   envelope with :func:`~repro.xmldb.document.build_fragment_from_nodes`
   (single-shred receive), never serialised and parsed again.

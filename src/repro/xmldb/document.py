@@ -210,8 +210,9 @@ class DocumentBuilder:
 
     Call sequence: optionally :meth:`start_document`, then nested
     :meth:`start_element` / :meth:`attribute` / :meth:`text` /
-    :meth:`comment` / :meth:`processing_instruction` /
-    :meth:`end_element` calls, then :meth:`finish`.
+    :meth:`comment` / :meth:`end_element` calls, then :meth:`finish`.
+    XML text is shredded by :mod:`repro.xmldb.parser`, which fills the
+    same columns (and the structural index) without this class.
 
     ``size`` values are back-patched when an element closes, so building
     is a single pass.
@@ -286,11 +287,6 @@ class DocumentBuilder:
         if self._has_content:
             self._has_content[-1] = True
         self._append(NodeKind.COMMENT, "", content)
-
-    def processing_instruction(self, target: str, content: str) -> None:
-        if self._has_content:
-            self._has_content[-1] = True
-        self._append(NodeKind.PROCESSING_INSTRUCTION, intern(target), content)
 
     def end_element(self) -> None:
         if not self._stack or self._kinds[self._stack[-1]] != NodeKind.ELEMENT:

@@ -1,10 +1,15 @@
 """Structural indexes over the pre/size/level store.
 
-A :class:`StructuralIndex` is built lazily, once, per
-:class:`~repro.xmldb.document.Document` and answers the hot axis steps
-as array range scans instead of tree walks — the same lever the
-paper's host system (MonetDB/XQuery's Pathfinder "staircase join")
-uses:
+A :class:`StructuralIndex` per :class:`~repro.xmldb.document.Document`
+answers the hot axis steps as array range scans instead of tree walks —
+the same lever the paper's host system (MonetDB/XQuery's Pathfinder
+"staircase join") uses. A parsed document arrives with its index: the
+parser fills these arrays in the same expat pass that shreds the
+columns (:meth:`StructuralIndex.from_arrays`). Documents built any
+other way (the XMark generator, fragment copies, shard merges, spill
+reopens) and any document after :meth:`Document.invalidate_caches`
+get it lazily, once, from :func:`structural_index`, which walks the
+columns. The structures are:
 
 * **tag index** — element name → sorted pre array (names interned, so
   index keys share storage with the document's name column);
@@ -124,6 +129,30 @@ class StructuralIndex:
                 elif kind == COMMENT:
                     comment_pres.append(pre)
 
+        self._install(tag_pres, element_pres, non_attr_pres, text_pres,
+                      comment_pres, non_attr_rank, path_of, path_parent,
+                      path_tag, path_pres)
+
+    @classmethod
+    def from_arrays(cls, doc: "Document", tag_pres, element_pres,
+                    non_attr_pres, text_pres, comment_pres, non_attr_rank,
+                    path_of, path_parent, path_tag,
+                    path_pres) -> "StructuralIndex":
+        """Adopt arrays a caller filled while building ``doc`` (the
+        parser's one shred-and-index pass) without walking the
+        columns again. They must equal what ``StructuralIndex(doc)``
+        would compute."""
+        index = cls.__new__(cls)
+        index.doc = doc
+        index.epoch = doc.epoch
+        index._install(tag_pres, element_pres, non_attr_pres, text_pres,
+                       comment_pres, non_attr_rank, path_of, path_parent,
+                       path_tag, path_pres)
+        return index
+
+    def _install(self, tag_pres, element_pres, non_attr_pres, text_pres,
+                 comment_pres, non_attr_rank, path_of, path_parent,
+                 path_tag, path_pres) -> None:
         self.tag_pres = tag_pres
         self.element_pres = element_pres
         self.non_attr_pres = non_attr_pres
@@ -278,8 +307,12 @@ def _advance(states: tuple[int, ...], tag: str,
 
 
 def structural_index(doc: "Document") -> StructuralIndex:
-    """The document's index, built on first use and rebuilt when the
-    document's cache epoch moved (see ``Document.invalidate_caches``)."""
+    """The document's index: the one the parser installed, else built
+    from the columns on first use; rebuilt when the document's cache
+    epoch moved (see ``Document.invalidate_caches``). Only these lazy
+    builds count in ``index_builds_total`` and
+    ``index_build_seconds_total``; a parsed document's index cost is
+    part of its parse."""
     index = doc._structural_index
     if index is not None and index.epoch == doc.epoch:
         return index
@@ -287,9 +320,11 @@ def structural_index(doc: "Document") -> StructuralIndex:
     index = StructuralIndex(doc)
     doc._structural_index = index
     GLOBAL_REGISTRY.counter(
-        "index_builds_total", "lazy index constructions",
+        "index_builds_total", "lazy index constructions (a parsed "
+        "document's structural index comes with its parse)",
         ("kind",)).labels("structural").inc()
     GLOBAL_REGISTRY.counter(
-        "index_build_seconds_total", "wall seconds spent building indexes",
+        "index_build_seconds_total",
+        "wall seconds spent in lazy index constructions",
         ("kind",)).labels("structural").inc(perf_counter() - started)
     return index

@@ -276,10 +276,12 @@ def value_index(doc: "Document") -> ValueIndex:
     index = ValueIndex(doc)
     doc._value_index = index
     GLOBAL_REGISTRY.counter(
-        "index_builds_total", "lazy index constructions",
+        "index_builds_total", "lazy index constructions (a parsed "
+        "document's structural index comes with its parse)",
         ("kind",)).labels("value").inc()
     GLOBAL_REGISTRY.counter(
-        "index_build_seconds_total", "wall seconds spent building indexes",
+        "index_build_seconds_total",
+        "wall seconds spent in lazy index constructions",
         ("kind",)).labels("value").inc(perf_counter() - started)
     return index
 

@@ -4,7 +4,10 @@ import pytest
 
 from repro.decompose import Strategy
 from repro.errors import NetworkError
+from repro.system import federation as federation_module
 from repro.system.federation import Federation
+from repro.workloads import BENCHMARK_QUERY, build_federation
+from repro.xmldb.index import StructuralIndex
 from repro.xquery.xdm import serialize_sequence
 
 
@@ -71,6 +74,39 @@ class TestDataShipping:
         result = fed.run(query, at="local",
                          strategy=Strategy.DATA_SHIPPING)
         assert result.stats.documents_shipped == 2
+
+
+class TestShippedDocumentsArriveIndexed:
+    def test_warm_data_shipping_builds_no_lazy_index_on_them(
+            self, monkeypatch):
+        federation = build_federation(0.0025)
+        warm = federation.run(BENCHMARK_QUERY, at="local",
+                              strategy=Strategy.DATA_SHIPPING)
+        parsed, lazily_indexed = [], []
+        parse = federation_module.parse_document
+        build = StructuralIndex.__init__
+
+        def recording_parse(text, uri=""):
+            document = parse(text, uri)
+            parsed.append(document)
+            return document
+
+        def recording_build(index, document):
+            lazily_indexed.append(document)
+            build(index, document)
+
+        monkeypatch.setattr(federation_module, "parse_document",
+                            recording_parse)
+        monkeypatch.setattr(StructuralIndex, "__init__", recording_build)
+        result = federation.run(BENCHMARK_QUERY, at="local",
+                                strategy=Strategy.DATA_SHIPPING)
+        assert (serialize_sequence(result.items)
+                == serialize_sequence(warm.items))
+        assert result.stats.documents_shipped == len(parsed) == 2
+        for document in parsed:
+            # The query's path steps ran on the index the parser filled.
+            assert document._structural_index is not None
+            assert all(document is not other for other in lazily_indexed)
 
 
 class TestFunctionShipping:
